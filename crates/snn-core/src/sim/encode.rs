@@ -49,11 +49,13 @@ pub(crate) fn draw_trains(
     let n = rates_hz.len();
     let mut trains = SpikeTrains::new(n, dt_ms);
     trains.reserve(steps, 0);
-    let (mut flags, mut active) = (vec![0u8; n], vec![0u32; n]);
-    let bytes = (n * (8 + 2 + 4)) as u64;
+    let mut active = vec![0u32; n];
+    // Per input: its spike probability read, its word written and read
+    // back in place.
+    let bytes = (n * (8 + 4)) as u64;
     for step in (base_step..).take(steps) {
         let count = device.launch_inline("encode_compact", n * 2, bytes, || {
-            encode_inputs(philox, step, &p_spike, &mut flags, &mut active)
+            encode_inputs(philox, step, &p_spike, &mut active)
         });
         trains.push_step(&active[..count]);
     }
@@ -61,9 +63,8 @@ pub(crate) fn draw_trains(
 }
 
 /// Draws one step of Bernoulli input spikes: input `i` spikes iff
-/// `uniform(INPUT | i, step) < p_spike[i]`. Writes each input's flag,
-/// writes the spiking indices, ascending, to the front of `active`, and
-/// returns their count.
+/// `uniform(INPUT | i, step) < p_spike[i]`. Writes the spiking indices,
+/// ascending, to the front of `active` and returns their count.
 ///
 /// Two passes over `active[..p_spike.len()]`: the draw pass fills it with
 /// one Philox word per input through [`Philox4x32::fill_word0`], which
@@ -74,18 +75,14 @@ pub(crate) fn encode_inputs(
     philox: &Philox4x32,
     step: u64,
     p_spike: &[f64],
-    flags: &mut [u8],
     active: &mut [u32],
 ) -> usize {
-    let n = p_spike.len();
-    let (flags, active) = (&mut flags[..n], &mut active[..n]);
+    let active = &mut active[..p_spike.len()];
     // `INPUT + i` is `INPUT | i` for every input index below 2^40.
     philox.fill_word0(INPUT, step, active);
     let mut count = 0;
-    for (i, (flag, &p)) in flags.iter_mut().zip(p_spike).enumerate() {
-        let spiked = Philox4x32::unit(active[i]) < p;
-        *flag = u8::from(spiked);
-        if spiked {
+    for (i, &p) in p_spike.iter().enumerate() {
+        if Philox4x32::unit(active[i]) < p {
             active[count] = i as u32;
             count += 1;
         }
@@ -99,17 +96,10 @@ mod tests {
     use gpu_device::DeviceConfig;
 
     /// The one-pass definition the two-pass encoder replaces.
-    fn encode_one_pass(philox: &Philox4x32, step: u64, p_spike: &[f64]) -> (Vec<u8>, Vec<u32>) {
-        let mut flags = Vec::new();
-        let mut active = Vec::new();
-        for (i, &p) in p_spike.iter().enumerate() {
-            let spiked = philox.uniform(INPUT | i as u64, step) < p;
-            flags.push(u8::from(spiked));
-            if spiked {
-                active.push(i as u32);
-            }
-        }
-        (flags, active)
+    fn encode_one_pass(philox: &Philox4x32, step: u64, p_spike: &[f64]) -> Vec<u32> {
+        (0..p_spike.len() as u32)
+            .filter(|&i| philox.uniform(INPUT | u64::from(i), step) < p_spike[i as usize])
+            .collect()
     }
 
     #[test]
@@ -118,13 +108,16 @@ mod tests {
         // Fractional, silent and saturated (p = 1 and above) rates.
         let mixed = |i: usize| [0.5, 0.0, 1.0, 0.011, 1.5][i % 5];
         for n in [1usize, 5, 784] {
-            let (mut flags, mut active) = (vec![7u8; n], vec![0u32; n]);
+            let mut active = vec![0u32; n];
             for p_spike in [vec![0.0; n], vec![1.0; n], (0..n).map(mixed).collect()] {
                 for step in [0u64, 1, 999, (1 << 32) - 1, 1 << 32, 123_456_789_012] {
-                    let count = encode_inputs(&philox, step, &p_spike, &mut flags, &mut active);
-                    let (want_flags, want_active) = encode_one_pass(&philox, step, &p_spike);
-                    assert_eq!(flags, want_flags, "n={n} step={step} p={p_spike:?}");
-                    assert_eq!(&active[..count], &want_active[..], "n={n} step={step}");
+                    let count = encode_inputs(&philox, step, &p_spike, &mut active);
+                    let want = encode_one_pass(&philox, step, &p_spike);
+                    assert_eq!(
+                        &active[..count],
+                        &want[..],
+                        "n={n} step={step} p={p_spike:?}"
+                    );
                 }
             }
         }
@@ -156,7 +149,7 @@ mod tests {
             .expect("encode launches profiled");
         assert_eq!(k.launches, 60);
         assert_eq!(k.threads, 60 * 16 * 2);
-        assert_eq!(k.bytes_touched, 60 * 16 * 14);
+        assert_eq!(k.bytes_touched, 60 * 16 * 12);
     }
 
     #[test]
@@ -169,7 +162,7 @@ mod tests {
         let trains = training_trains(&device, 2019, &rates, 0.5, 3.0, base);
         assert_eq!(trains.steps(), 6);
         for (s, active) in steps_of(&trains).into_iter().enumerate() {
-            let (_, want) = encode_one_pass(&philox, base + s as u64, &p_spike);
+            let want = encode_one_pass(&philox, base + s as u64, &p_spike);
             assert_eq!(active, want, "step {s}");
         }
     }

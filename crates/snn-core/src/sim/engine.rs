@@ -20,20 +20,108 @@ use gpu_device::{Device, GaugeStats, Philox4x32};
 /// row-scan oracle the tests hold it to.
 const SPIKE_BLOCK: usize = 32;
 
-/// Per-excitatory-neuron dynamic state, kept as an array of structs so the
-/// neuron-update kernel touches one cache line per neuron. The explicit
-/// 64-byte alignment pads the natural 48-byte layout so no cell ever
-/// straddles two cache lines — the per-step integrate sweep touches exactly
-/// one line per neuron.
-#[derive(Debug, Clone, Copy)]
-#[repr(align(64))]
-struct ExcCell {
-    v: f64,
-    theta: f64,
-    refractory_ms: f64,
-    inhibited_until: f64,
-    last_spike: f64,
-    spiked: bool,
+/// The excitatory layer's dynamic state, one array per field: neuron `j`
+/// is entry `j` of each. The paper runs the neuron update as one GPU
+/// thread per neuron, which is fast because each state variable is its own
+/// contiguous array; on a CPU the same layout makes every per-step pass —
+/// the θ decay, the integrate pass, the inhibition, the window's reset and
+/// search — a stream over only the fields it reads and writes (~33 bytes
+/// per neuron in all), and lets the θ decay vectorize.
+#[derive(Debug, Clone)]
+struct ExcLayer {
+    v: Vec<f64>,
+    /// Adaptive-threshold offset (homeostasis).
+    theta: Vec<f64>,
+    refractory_ms: Vec<f64>,
+    /// Winner-take-all suppression deadline.
+    inhibited_until: Vec<f64>,
+    /// Whether the neuron spiked on the last step it was integrated.
+    spiked: Vec<bool>,
+}
+
+impl ExcLayer {
+    /// `n` neurons at rest: potential `v_init`, no threshold offset.
+    fn new(n: usize, v_init: f64) -> Self {
+        ExcLayer {
+            v: vec![v_init; n],
+            theta: vec![0.0; n],
+            refractory_ms: vec![0.0; n],
+            inhibited_until: vec![f64::NEG_INFINITY; n],
+            spiked: vec![false; n],
+        }
+    }
+
+    /// Everything but θ back to its state at rest.
+    fn reset_transients(&mut self, v_init: f64) {
+        self.v.fill(v_init);
+        self.refractory_ms.fill(0.0);
+        self.inhibited_until.fill(f64::NEG_INFINITY);
+        self.spiked.fill(false);
+    }
+
+    /// The homeostatic decay `θ *= θ_decay` of every neuron, which both
+    /// step kinds apply on a plastic step before any threshold test.
+    fn decay_thetas(&mut self, theta_decay: f64) {
+        self.theta
+            .iter_mut()
+            .for_each(|theta| *theta *= theta_decay);
+    }
+
+    /// Integrates every neuron under its current `i_syn[j]` (Eqs. 1–2 and
+    /// the winner-take-all and threshold arms of [`lif_update`]), storing
+    /// each of `v`, `refractory_ms` and `spiked` once per neuron, and
+    /// appends the step's spikers to `spikers` in ascending order.
+    fn integrate(&mut self, i_syn: &[f64], t: f64, dt: f64, p: LifParams, spikers: &mut Vec<u32>) {
+        let n = i_syn.len();
+        let (v, theta) = (&mut self.v[..n], &self.theta[..n]);
+        let (refractory, inhibited_until) =
+            (&mut self.refractory_ms[..n], &self.inhibited_until[..n]);
+        let spiked = &mut self.spiked[..n];
+        for j in 0..n {
+            let inhibited = t < inhibited_until[j];
+            let (v_j, refractory_j, spiked_j) =
+                lif_update(v[j], refractory[j], inhibited, theta[j], i_syn[j], dt, p);
+            v[j] = v_j;
+            refractory[j] = refractory_j;
+            spiked[j] = spiked_j;
+            if spiked_j {
+                spikers.push(j as u32);
+            }
+        }
+    }
+
+    /// [`ExcLayer::integrate`] for neuron `j` alone; returns whether it
+    /// spiked.
+    fn integrate_one(&mut self, j: usize, i_syn_j: f64, t: f64, dt: f64, p: LifParams) -> bool {
+        let inhibited = t < self.inhibited_until[j];
+        let (v, refractory, spiked) = lif_update(
+            self.v[j],
+            self.refractory_ms[j],
+            inhibited,
+            self.theta[j],
+            i_syn_j,
+            dt,
+            p,
+        );
+        (self.v[j], self.refractory_ms[j], self.spiked[j]) = (v, refractory, spiked);
+        spiked
+    }
+
+    /// Winner-take-all suppression: every neuron that did not spike on
+    /// this step is inhibited until `until`.
+    fn inhibit_non_spikers(&mut self, until: f64) {
+        for (inhibited_until, &spiked) in self.inhibited_until.iter_mut().zip(&self.spiked) {
+            *inhibited_until = if spiked { *inhibited_until } else { until };
+        }
+    }
+
+    /// The inhibited arm's `v = v_reset` of every neuron that did not
+    /// spike on the last step.
+    fn reset_non_spikers(&mut self, v_reset: f64) {
+        for (v, &spiked) in self.v.iter_mut().zip(&self.spiked) {
+            *v = if spiked { *v } else { v_reset };
+        }
+    }
 }
 
 /// The unsupervised-learning engine: rate-coded input trains, an excitatory
@@ -45,6 +133,10 @@ struct ExcCell {
 /// acceptance, stochastic rounding) is drawn from counter-based Philox
 /// streams keyed by `(entity id, step)`, so a run is bit-reproducible for a
 /// given seed at any worker count.
+///
+/// The excitatory layer keeps one array per state variable, the layout a
+/// one-thread-per-neuron kernel reads coalesced: each per-step pass over
+/// the layer streams only the fields it touches.
 ///
 /// # Example
 ///
@@ -78,7 +170,7 @@ pub struct WtaEngine<'d> {
     /// Mounted from an [`EvalSnapshot`] by [`WtaEngine::replica`]: frozen
     /// presentations only.
     frozen: bool,
-    cells: Vec<ExcCell>,
+    layer: ExcLayer,
     i_syn: Vec<f64>,
     last_pre: Vec<f64>,
     /// Ascending indices of this step's spiking inputs (the *active-spike
@@ -192,20 +284,12 @@ impl<'d> WtaEngine<'d> {
         synapses: Arc<SynapseStore>,
     ) -> Self {
         let rule = crate::stdp::build_rule(&cfg);
-        let cell = ExcCell {
-            v: cfg.lif.v_init,
-            theta: 0.0,
-            refractory_ms: 0.0,
-            inhibited_until: f64::NEG_INFINITY,
-            last_spike: f64::NEG_INFINITY,
-            spiked: false,
-        };
         let syn_decay = (-cfg.dt_ms / cfg.tau_syn_ms).exp();
         let theta_decay = (-cfg.dt_ms / cfg.tau_theta_ms).exp();
         WtaEngine {
             partial_sums: Vec::new(),
             acceptance: Vec::new(),
-            cells: vec![cell; cfg.n_excitatory],
+            layer: ExcLayer::new(cfg.n_excitatory, cfg.lif.v_init),
             i_syn: vec![0.0; cfg.n_excitatory],
             last_pre: vec![f64::NEG_INFINITY; cfg.n_inputs],
             spike_list: vec![0; cfg.n_inputs],
@@ -238,11 +322,9 @@ impl<'d> WtaEngine<'d> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's shape does not match the configuration.
+    /// Returns an error if the configuration is invalid, and
+    /// [`SnnError::InvalidConfig`] for field `snapshot` if the snapshot's
+    /// matrix shape differs from the configuration's.
     pub fn replica(
         cfg: NetworkConfig,
         device: &'d Device,
@@ -250,25 +332,25 @@ impl<'d> WtaEngine<'d> {
         snapshot: &EvalSnapshot,
     ) -> Result<Self, SnnError> {
         cfg.validate()?;
-        assert_eq!(
-            snapshot.synapses().n_pre(),
-            cfg.n_inputs,
-            "snapshot pre population mismatch"
-        );
-        assert_eq!(
-            snapshot.synapses().n_post(),
-            cfg.n_excitatory,
-            "snapshot post population mismatch"
-        );
+        let shape = (snapshot.synapses().n_pre(), snapshot.synapses().n_post());
+        let expected = (cfg.n_inputs, cfg.n_excitatory);
+        if shape != expected {
+            return Err(SnnError::InvalidConfig {
+                field: "snapshot",
+                reason: format!(
+                    "the snapshot is {} -> {}, the network {} -> {}",
+                    shape.0, shape.1, expected.0, expected.1
+                ),
+            });
+        }
         // Mount the shared store directly — a replica never touches the
         // random initialization path, so construction is O(n_excitatory),
         // not O(n_pre × n_post).
         let synapses = Arc::clone(snapshot.store());
         let mut engine = Self::assemble(cfg, device, seed, synapses);
         engine.frozen = true;
-        for (cell, &theta) in engine.cells.iter_mut().zip(snapshot.thetas()) {
-            cell.theta = theta;
-        }
+        // A snapshot holds one threshold per post neuron of its matrix.
+        engine.layer.theta.copy_from_slice(snapshot.thetas());
         Ok(engine)
     }
 
@@ -362,7 +444,7 @@ impl<'d> WtaEngine<'d> {
     /// The adaptive-threshold offsets (homeostasis state).
     #[must_use]
     pub fn thetas(&self) -> Vec<f64> {
-        self.cells.iter().map(|c| c.theta).collect()
+        self.layer.theta.clone()
     }
 
     /// Overwrites the adaptive thresholds — the homeostasis half of
@@ -372,10 +454,12 @@ impl<'d> WtaEngine<'d> {
     ///
     /// Panics if the slice length does not match the excitatory population.
     pub fn set_thetas(&mut self, thetas: &[f64]) {
-        assert_eq!(thetas.len(), self.cells.len(), "theta population mismatch");
-        for (cell, &theta) in self.cells.iter_mut().zip(thetas) {
-            cell.theta = theta;
-        }
+        assert_eq!(
+            thetas.len(),
+            self.layer.theta.len(),
+            "theta population mismatch"
+        );
+        self.layer.theta.copy_from_slice(thetas);
     }
 
     /// Sets the training clock (step counter and simulated time). Used when
@@ -428,18 +512,12 @@ impl<'d> WtaEngine<'d> {
         std::mem::take(&mut self.potential_trace)
     }
 
-    /// Resets membrane potentials, synaptic currents, inhibition, and the
-    /// pre/post spike timers — everything except the learned conductances
-    /// and the homeostasis thresholds. Called between image presentations.
+    /// Resets membrane potentials, refractory countdowns, synaptic
+    /// currents, inhibition and the pre spike timers — everything except
+    /// the learned conductances and the homeostasis thresholds. Called
+    /// between image presentations.
     pub fn reset_transients(&mut self) {
-        let v_init = self.cfg.lif.v_init;
-        for c in &mut self.cells {
-            c.v = v_init;
-            c.refractory_ms = 0.0;
-            c.inhibited_until = f64::NEG_INFINITY;
-            c.last_spike = f64::NEG_INFINITY;
-            c.spiked = false;
-        }
+        self.layer.reset_transients(self.cfg.lif.v_init);
         self.i_syn.fill(0.0);
         self.last_pre.fill(f64::NEG_INFINITY);
         self.active_inputs = 0;
@@ -613,17 +691,11 @@ impl<'d> WtaEngine<'d> {
             // The inhibited arm's `v = v_reset`, applied once on the
             // window's first quiet step: from here on every skipped update
             // is a no-op on the stored state.
-            let v_reset = self.cfg.lif.v_reset;
-            for cell in &mut self.cells {
-                if !cell.spiked {
-                    cell.v = v_reset;
-                }
-            }
+            self.layer.reset_non_spikers(self.cfg.lif.v_reset);
             window.reset_pending = false;
         }
         // The synaptic-current fold of the delivery kernel, minus the
-        // integration it normally feeds: `i_syn[j] = i_syn[j]·decay +
-        // Σ_b block_b[j]` with the same SPIKE_BLOCK partial-sum grouping.
+        // integration it normally feeds.
         {
             let n_active = self.active_inputs;
             let spikers = &self.spike_list[..n_active];
@@ -631,8 +703,8 @@ impl<'d> WtaEngine<'d> {
             let decay = self.syn_decay;
             let homeostasis = plastic && self.cfg.theta_plus > 0.0;
             let gt = &self.synapses.gt;
-            let (i_syn, cells, partial) =
-                (&mut self.i_syn, &mut self.cells, &mut self.partial_sums);
+            let (i_syn, layer, partial) =
+                (&mut self.i_syn, &mut self.layer, &mut self.partial_sums);
             let n_blocks = n_active.div_ceil(SPIKE_BLOCK);
             // The `+ 1` is the per-neuron decay work: the current's, and
             // θ's under homeostasis.
@@ -641,43 +713,30 @@ impl<'d> WtaEngine<'d> {
             let bytes = ((n_active + 2) * n_exc * 8 + theta_bytes) as u64;
             self.device
                 .launch_inline("deliver_decay_quiet", cost, bytes, || {
-                    match *spikers {
-                        [] => i_syn.iter_mut().for_each(|i| *i *= decay),
-                        [i0] => {
-                            for (i, &g) in i_syn.iter_mut().zip(gt.col(i0 as usize)) {
-                                *i = *i * decay + g * v_spike;
-                            }
-                        }
-                        _ => fold_blocks(i_syn, partial, spikers, gt, v_spike, decay),
-                    }
+                    fold_current(i_syn, partial, spikers, gt, v_spike, decay);
                     if homeostasis {
-                        cells.iter_mut().for_each(|cell| cell.theta *= theta_decay);
+                        layer.decay_thetas(theta_decay);
                     }
                 });
             self.acct.blocks += n_blocks as u64;
             self.acct.dense_items_skipped += ((n_pre - n_active) * n_exc) as u64;
         }
         // Only the uninhibited neurons can change state or spike; their θ
-        // already decayed in the fold.
+        // already decayed in the launch above.
         let lif_params = self.cfg.lif;
-        let mut any_spiked = false;
-        for &j in &window.active {
-            let j = j as usize;
-            let cell = &mut self.cells[j];
-            integrate_cell(cell, self.i_syn[j], t, dt, lif_params, theta_decay, false);
-            any_spiked |= cell.spiked;
-        }
-        if let Some(j) = self.traced_neuron {
-            self.potential_trace.push((t, self.cells[j].v));
-        }
         self.spiking_posts.clear();
-        if any_spiked {
-            for &j in &window.active {
-                if self.cells[j as usize].spiked {
-                    self.record_spike(j as usize, t, plastic, counts);
-                }
+        for &j in &window.active {
+            if self
+                .layer
+                .integrate_one(j as usize, self.i_syn[j as usize], t, dt, lif_params)
+            {
+                self.spiking_posts.push(j);
             }
         }
+        if let Some(j) = self.traced_neuron {
+            self.potential_trace.push((t, self.layer.v[j]));
+        }
+        self.record_spikes(t, plastic, counts);
         self.step_commit(plastic);
     }
 
@@ -689,11 +748,11 @@ impl<'d> WtaEngine<'d> {
     /// `t < window.until` gate compares the exact f64 the per-step
     /// inhibition branch would.
     fn enter_quiet(&self, window: &mut QuietWindow) {
-        let Some(suppressed) = self.cells.iter().find(|c| !c.spiked) else {
+        let Some(suppressed) = self.layer.spiked.iter().position(|&spiked| !spiked) else {
             // Every neuron spiked: nothing is inhibited and no window opens.
             return;
         };
-        window.until = suppressed.inhibited_until;
+        window.until = self.layer.inhibited_until[suppressed];
         window.active.clear();
         window.active.extend_from_slice(&self.spiking_posts);
         window.reset_pending = true;
@@ -733,9 +792,8 @@ impl<'d> WtaEngine<'d> {
 
     /// Phases (1b)–(5-scan) of the step pipeline: the input side
     /// ([`WtaEngine::step_inputs`]), the delivery + integration kernel,
-    /// and the winner-take-all spiker scan (last-spike stamps,
-    /// homeostasis bump, counts, raster), which leaves this step's
-    /// spikers in `spiking_posts`.
+    /// which leaves this step's spikers in `spiking_posts`, and the
+    /// winner-take-all bookkeeping of those spikers.
     fn step_integrate(&mut self, plastic: bool, counts: &mut [u32]) {
         self.step_inputs();
         let t = self.time_ms;
@@ -748,96 +806,59 @@ impl<'d> WtaEngine<'d> {
         // adaptive threshold): fold the transposed columns of this step's
         // active inputs into the canonical blocked sum — `i_syn[j] =
         // i_syn[j]·decay + Σ_b block_b[j]`, blocks of SPIKE_BLOCK ascending
-        // active inputs — then integrate every neuron. The kernel returns
-        // this step's output spike count, so the winner-take-all scan below
-        // can be skipped on silent steps (the overwhelmingly common case
-        // under rate coding).
+        // active inputs — then integrate every neuron, listing the spikers
+        // as the integrate pass meets them.
         let v_spike = self.cfg.v_spike;
         let decay = self.syn_decay;
         let lif_params = self.cfg.lif;
         let theta_decay = self.theta_decay;
         let homeostasis = plastic && self.cfg.theta_plus > 0.0;
         let n_exc = self.cfg.n_excitatory;
-        let cell_bytes = n_exc * (16 + std::mem::size_of::<ExcCell>() * 2);
+        // The integrate pass reads `i_syn` and four f64 fields and writes
+        // `v`, `refractory_ms` and the spike flag; θ's decay reads and
+        // writes θ.
+        let theta_bytes = if homeostasis { 16 } else { 0 };
+        let layer_bytes = n_exc * (5 * 8 + 2 * 8 + 1 + theta_bytes);
         let gt = &self.synapses.gt;
-        let (i_syn, cells, partial) = (&mut self.i_syn, &mut self.cells, &mut self.partial_sums);
-        let integrate = |cell: &mut ExcCell, acc: f64| {
-            integrate_cell(cell, acc, t, dt, lif_params, theta_decay, homeostasis);
-            u32::from(cell.spiked)
-        };
+        let (i_syn, layer, partial, posts) = (
+            &mut self.i_syn,
+            &mut self.layer,
+            &mut self.partial_sums,
+            &mut self.spiking_posts,
+        );
+        posts.clear();
         let n_blocks = n_active.div_ceil(SPIKE_BLOCK);
         let cost = (n_active + n_blocks + 4) * n_exc;
-        let bytes = ((n_active + 2 * n_blocks + 2) * n_exc * 8 + cell_bytes) as u64;
-        let step_spikes: u32 =
-            self.device
-                .launch_inline("deliver_integrate_sparse", cost, bytes, || {
-                    // The silent and one-spiker steps dominate under rate
-                    // coding; they fold in-register in the integration sweep
-                    // itself, with the same multiply/add sequence the blocked
-                    // fold runs.
-                    match *spikers {
-                        [] => i_syn
-                            .iter_mut()
-                            .zip(cells.iter_mut())
-                            .map(|(i, cell)| {
-                                *i *= decay;
-                                integrate(cell, *i)
-                            })
-                            .sum(),
-                        [i0] => i_syn
-                            .iter_mut()
-                            .zip(cells.iter_mut())
-                            .zip(gt.col(i0 as usize))
-                            .map(|((i, cell), &g)| {
-                                *i = *i * decay + g * v_spike;
-                                integrate(cell, *i)
-                            })
-                            .sum(),
-                        _ => {
-                            fold_blocks(i_syn, partial, spikers, gt, v_spike, decay);
-                            i_syn
-                                .iter()
-                                .zip(cells.iter_mut())
-                                .map(|(&i, cell)| integrate(cell, i))
-                                .sum()
-                        }
-                    }
-                });
+        let bytes = ((n_active + 2 * n_blocks + 2) * n_exc * 8 + layer_bytes) as u64;
+        self.device
+            .launch_inline("deliver_integrate_sparse", cost, bytes, || {
+                fold_current(i_syn, partial, spikers, gt, v_spike, decay);
+                if homeostasis {
+                    layer.decay_thetas(theta_decay);
+                }
+                layer.integrate(i_syn, t, dt, lif_params, posts);
+            });
         self.acct.blocks += n_blocks as u64;
         self.acct.dense_items_skipped += ((n_pre - n_active) * n_exc) as u64;
 
         if let Some(j) = self.traced_neuron {
-            self.potential_trace.push((t, self.cells[j].v));
+            self.potential_trace.push((t, self.layer.v[j]));
         }
-
-        // (5) Winner-take-all: every spiker's inhibition partner suppresses
-        // all non-spiking excitatory neurons for t_inh (Fig. 3). The scan
-        // only acts on spiking cells, so when the delivery kernel counted
-        // none it is a provable no-op and is skipped wholesale.
-        self.spiking_posts.clear();
-        if step_spikes > 0 {
-            for j in 0..self.cells.len() {
-                if self.cells[j].spiked {
-                    self.record_spike(j, t, plastic, counts);
-                }
-            }
-        }
+        self.record_spikes(t, plastic, counts);
     }
 
-    /// Phase (5-scan) for one spiking neuron `j`: lists it as a winner,
-    /// stamps its last spike, bumps its threshold (plastic steps only),
-    /// counts it and logs it to the raster. Callers visit spikers in
-    /// ascending order, so the winner list and the raster stay sorted.
-    fn record_spike(&mut self, j: usize, t: f64, plastic: bool, counts: &mut [u32]) {
-        self.spiking_posts.push(j as u32);
-        let cell = &mut self.cells[j];
-        cell.last_spike = t;
-        if plastic {
-            cell.theta += self.cfg.theta_plus;
-        }
-        counts[j] += 1;
-        if let Some(r) = &mut self.raster {
-            r.push(t, j as u32);
+    /// Phase (5-scan) for this step's spikers in `spiking_posts`
+    /// (ascending, so the raster stays sorted): bumps each one's threshold
+    /// (plastic steps only), counts it and logs it to the raster.
+    fn record_spikes(&mut self, t: f64, plastic: bool, counts: &mut [u32]) {
+        for &j in &self.spiking_posts {
+            if plastic {
+                self.layer.theta[j as usize] += self.cfg.theta_plus;
+            }
+            counts[j as usize] += 1;
+            if let Some(r) = &mut self.raster {
+                r.push(t, j);
+            }
         }
     }
 
@@ -847,13 +868,10 @@ impl<'d> WtaEngine<'d> {
     /// [`WtaEngine::step_integrate`] or [`WtaEngine::step_quiet`].
     fn step_commit(&mut self, plastic: bool) {
         let t = self.time_ms;
+        // (5) Winner-take-all: every spiker's inhibition partner suppresses
+        // all non-spiking excitatory neurons for t_inh (Fig. 3).
         if !self.spiking_posts.is_empty() {
-            let until = t + self.cfg.t_inh_ms;
-            for cell in &mut self.cells {
-                if !cell.spiked {
-                    cell.inhibited_until = until;
-                }
-            }
+            self.layer.inhibit_non_spikers(t + self.cfg.t_inh_ms);
         }
 
         // (6) Causal STDP: every incoming synapse of a spiking neuron
@@ -948,45 +966,61 @@ fn fold_blocks(
     }
 }
 
+/// A step's synaptic-current fold, the part of the delivery kernel the
+/// quiet step shares: `i_syn[j] = i_syn[j]·decay + Σ_b block_b[j]`. The
+/// silent and one-spiker steps dominate under rate coding; they take one
+/// pass with the same multiply/add sequence the blocked fold
+/// ([`fold_blocks`]) runs for two or more spikers.
+fn fold_current(
+    i_syn: &mut [f64],
+    partial: &mut Vec<f64>,
+    spikers: &[u32],
+    gt: &TransposedConductances,
+    v_spike: f64,
+    decay: f64,
+) {
+    match *spikers {
+        [] => i_syn.iter_mut().for_each(|i| *i *= decay),
+        [i0] => {
+            for (i, &g) in i_syn.iter_mut().zip(gt.col(i0 as usize)) {
+                *i = *i * decay + g * v_spike;
+            }
+        }
+        _ => fold_blocks(i_syn, partial, spikers, gt, v_spike, decay),
+    }
+}
+
 /// The per-neuron integration body (Eqs. 1–2 plus adaptive threshold),
 /// shared verbatim by the delivery kernel and the quiet step, so the two
-/// step kinds cannot drift apart. It runs
-/// the same floating-point operations in the same order as
+/// step kinds cannot drift apart: from a neuron's potential, refractory
+/// countdown, inhibition and already decayed θ it returns the new
+/// `(v, refractory_ms, spiked)`. It runs the same floating-point
+/// operations in the same order as
 /// [`LifNeuron::step`](crate::neuron::LifNeuron::step), with the
-/// winner-take-all inhibition and the homeostatic threshold on top; this
-/// loop body is the hot path of every delivery kernel.
+/// winner-take-all inhibition and the homeostatic threshold on top.
 #[inline(always)]
-fn integrate_cell(
-    cell: &mut ExcCell,
+fn lif_update(
+    v: f64,
+    refractory_ms: f64,
+    inhibited: bool,
+    theta: f64,
     i_syn_j: f64,
-    t: f64,
     dt: f64,
     p: LifParams,
-    theta_decay: f64,
-    homeostasis: bool,
-) {
-    cell.spiked = false;
-    if homeostasis {
-        cell.theta *= theta_decay;
+) -> (f64, f64, bool) {
+    if inhibited {
+        return (p.v_reset, refractory_ms, false);
     }
-    if t < cell.inhibited_until {
-        cell.v = p.v_reset;
-        return;
+    if refractory_ms > 0.0 {
+        return (p.v_reset, (refractory_ms - dt).max(0.0), false);
     }
-    if cell.refractory_ms > 0.0 {
-        cell.refractory_ms = (cell.refractory_ms - dt).max(0.0);
-        cell.v = p.v_reset;
-        return;
-    }
-    let dv = p.a + p.b * cell.v + p.c * i_syn_j;
-    let v = cell.v + dv * dt;
+    let dv = p.a + p.b * v + p.c * i_syn_j;
+    let v = v + dv * dt;
     // Homeostasis shifts the LIF threshold directly.
-    if v > p.v_threshold + cell.theta {
-        cell.v = p.v_reset;
-        cell.refractory_ms = p.t_refractory_ms;
-        cell.spiked = true;
+    if v > p.v_threshold + theta {
+        (p.v_reset, p.t_refractory_ms, true)
     } else {
-        cell.v = v;
+        (v, refractory_ms, false)
     }
 }
 
@@ -1478,6 +1512,118 @@ mod tests {
         }
     }
 
+    /// Case `k` of the integrate-pass property draws its inputs from
+    /// Philox stream `k` of this seed, so every run tests the same cases
+    /// and a failure replays from the case index it reports.
+    const SEED: u64 = 2019;
+
+    /// The layer's integrate pass — θ's decay first under homeostasis —
+    /// against [`LifNeuron::step`](crate::neuron::LifNeuron::step) with
+    /// the inhibition and θ arms written out plainly: every neuron's
+    /// potential, countdown, threshold, suppression deadline and spike
+    /// flag bit for bit, the spiker list ascending, and the quiet step's
+    /// one-neuron form equal to the pass.
+    #[test]
+    fn integrate_pass_matches_lif_neuron_step() {
+        use crate::neuron::{LifNeuron, NeuronState};
+        let c = cfg(1, 1);
+        let (p, dt) = (c.lif, c.dt_ms);
+        let theta_decay = (-dt / c.tau_theta_ms).exp();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Threshold crossings, refractory countdowns, inhibited neurons,
+        // and cases with homeostasis on.
+        let mut seen = [0usize; 4];
+        for case in 0..64 {
+            let mut rng = Philox4x32::new(SEED).stream(case);
+            let n = 1 + rng.next_below(48) as usize;
+            let homeostasis = rng.next_below(2) == 1;
+            let t = dt * f64::from(rng.next_below(4000));
+            let mut layer = ExcLayer::new(n, p.v_init);
+            let mut i_syn = vec![0.0; n];
+            for (j, i_syn) in i_syn.iter_mut().enumerate() {
+                layer.v[j] = p.v_reset + (p.v_threshold + 3.0 - p.v_reset) * rng.next_f64();
+                layer.theta[j] = 2.0 * rng.next_f64();
+                layer.refractory_ms[j] = match rng.next_below(4) {
+                    0 => p.t_refractory_ms * rng.next_f64(),
+                    1 => dt * f64::from(rng.next_below(5)),
+                    _ => 0.0,
+                };
+                layer.inhibited_until[j] = match rng.next_below(4) {
+                    0 => t + dt * f64::from(1 + rng.next_below(20)),
+                    1 => t,
+                    2 => t - dt * f64::from(1 + rng.next_below(20)),
+                    _ => f64::NEG_INFINITY,
+                };
+                layer.spiked[j] = rng.next_below(2) == 1;
+                *i_syn = 50.0 * rng.next_f64() - 10.0;
+            }
+            let before = layer.clone();
+
+            if homeostasis {
+                layer.decay_thetas(theta_decay);
+            }
+            let mut one_by_one = layer.clone();
+            // A stale entry ahead of the spikers: the pass appends.
+            let mut spikers = vec![42];
+            layer.integrate(&i_syn, t, dt, p, &mut spikers);
+
+            let mut want = before.clone();
+            let mut want_spikers = vec![42];
+            for (j, &i_syn_j) in i_syn.iter().enumerate() {
+                if homeostasis {
+                    want.theta[j] = before.theta[j] * theta_decay;
+                }
+                let mut state = NeuronState {
+                    v: before.v[j],
+                    refractory_ms: before.refractory_ms[j],
+                };
+                want.spiked[j] = if t < before.inhibited_until[j] {
+                    state.v = p.v_reset;
+                    false
+                } else {
+                    let shifted = LifParams {
+                        v_threshold: p.v_threshold + want.theta[j],
+                        ..p
+                    };
+                    LifNeuron::new(shifted).step(&mut state, i_syn_j, dt)
+                };
+                (want.v[j], want.refractory_ms[j]) = (state.v, state.refractory_ms);
+                if want.spiked[j] {
+                    want_spikers.push(j as u32);
+                }
+                let refractory = before.refractory_ms[j] > 0.0;
+                let inhibited = t < before.inhibited_until[j];
+                seen[0] += usize::from(want.spiked[j]);
+                seen[1] += usize::from(refractory && !inhibited);
+                seen[2] += usize::from(inhibited);
+                assert_eq!(
+                    one_by_one.integrate_one(j, i_syn_j, t, dt, p),
+                    want.spiked[j],
+                    "case {case}: neuron {j} alone"
+                );
+            }
+            seen[3] += usize::from(homeostasis);
+            let inputs = format!("case {case}: homeostasis {homeostasis}, t = {t}, n = {n}");
+            for (got, what) in [(&layer, "pass"), (&one_by_one, "one by one")] {
+                assert_eq!(bits(&got.v), bits(&want.v), "{inputs}: {what} v");
+                assert_eq!(bits(&got.theta), bits(&want.theta), "{inputs}: {what} θ");
+                assert_eq!(
+                    bits(&got.refractory_ms),
+                    bits(&want.refractory_ms),
+                    "{inputs}: {what} refractory countdown"
+                );
+                assert_eq!(
+                    bits(&got.inhibited_until),
+                    bits(&want.inhibited_until),
+                    "{inputs}: {what} suppression deadline"
+                );
+                assert_eq!(got.spiked, want.spiked, "{inputs}: {what} spike flags");
+            }
+            assert_eq!(spikers, want_spikers, "{inputs}: spiker list");
+        }
+        assert!(seen.iter().all(|&k| k > 0), "vacuous: {seen:?}");
+    }
+
     #[test]
     fn transposed_view_stays_coherent_through_learning() {
         let device = Device::new(DeviceConfig::serial());
@@ -1646,12 +1792,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "population mismatch")]
     fn replica_shape_mismatch_is_rejected() {
         let device = Device::new(DeviceConfig::serial());
         let source = WtaEngine::new(cfg(16, 4), &device, 1);
         let snap = source.snapshot();
-        let _ = WtaEngine::replica(cfg(16, 8), &device, 1, &snap);
+        for (n_in, n_exc) in [(16, 8), (8, 4)] {
+            match WtaEngine::replica(cfg(n_in, n_exc), &device, 1, &snap) {
+                Err(SnnError::InvalidConfig {
+                    field: "snapshot", ..
+                }) => {}
+                other => panic!("{n_in} -> {n_exc}: {other:?}"),
+            }
+        }
     }
 
     /// STDP takes its quantizer, bounds and magnitudes from the matrix, so
@@ -1741,10 +1893,9 @@ mod dense_oracle {
         for &i in &e.spike_list[..e.active_inputs] {
             active[i as usize] = true;
         }
-        let homeostasis = plastic && e.cfg.theta_plus > 0.0;
         let g = e.synapses.g.as_flat();
         let rows = g.chunks_exact(e.cfg.n_inputs);
-        for ((i_syn, cell), row) in e.i_syn.iter_mut().zip(&mut e.cells).zip(rows) {
+        for (i_syn, row) in e.i_syn.iter_mut().zip(rows) {
             let mut acc = *i_syn * e.syn_decay;
             let (mut block, mut seen) = (0.0, 0);
             for (&w, _) in row.iter().zip(&active).filter(|&(_, &a)| a) {
@@ -1759,17 +1910,17 @@ mod dense_oracle {
                 acc += block;
             }
             *i_syn = acc;
-            integrate_cell(cell, acc, t, dt, e.cfg.lif, e.theta_decay, homeostasis);
         }
-        if let Some(j) = e.traced_neuron {
-            e.potential_trace.push((t, e.cells[j].v));
+        if plastic && e.cfg.theta_plus > 0.0 {
+            e.layer.decay_thetas(e.theta_decay);
         }
         e.spiking_posts.clear();
-        for j in 0..e.cells.len() {
-            if e.cells[j].spiked {
-                e.record_spike(j, t, plastic, counts);
-            }
+        e.layer
+            .integrate(&e.i_syn, t, dt, e.cfg.lif, &mut e.spiking_posts);
+        if let Some(j) = e.traced_neuron {
+            e.potential_trace.push((t, e.layer.v[j]));
         }
+        e.record_spikes(t, plastic, counts);
         e.step_commit(plastic);
     }
 
